@@ -1,7 +1,8 @@
 .PHONY: verify lint commcheck numcheck p2pcheck shapecheck faultcheck obscheck alloccheck servecheck determinism race race-mpi test bench bench_obs bench_fault bench_alloc bench_serve
 
-# Full gate: compile, vet, the repo-specific static analyzers (including
-# the collective-protocol checker, the point-to-point protocol family —
+# Full gate: compile, vet (plus an arm64 vet of internal/blas, so the
+# portable-kernel build of non-amd64 hosts is type-checked too), the
+# repo-specific static analyzers (including the collective-protocol checker, the point-to-point protocol family —
 # tag space, opcode state machine, send/recv pairing — the
 # determinism/numerical-safety quartet, and the interprocedural shape
 # verifier; `go run ./cmd/repolint -list` documents the full set), the
@@ -12,7 +13,7 @@
 # leans on), the compiler-truth allocation and bounds-check gates on the
 # hot paths, and the bit-reproducible replay gate on both fabrics.
 verify:
-	go build ./... && go vet ./... && go run ./cmd/repolint && go test -race ./... && go test -tags commcheck ./internal/mpi ./internal/core && go test -tags checkinvariants ./internal/check ./internal/blas ./internal/nn ./internal/hf ./internal/core && $(MAKE) shapecheck && $(MAKE) p2pcheck && $(MAKE) faultcheck && $(MAKE) obscheck && $(MAKE) alloccheck && $(MAKE) servecheck && $(MAKE) determinism
+	go build ./... && go vet ./... && GOARCH=arm64 go vet ./internal/blas && go run ./cmd/repolint && go test -race ./... && go test -tags commcheck ./internal/mpi ./internal/core && go test -tags checkinvariants ./internal/check ./internal/blas ./internal/nn ./internal/hf ./internal/core && $(MAKE) shapecheck && $(MAKE) p2pcheck && $(MAKE) faultcheck && $(MAKE) obscheck && $(MAKE) alloccheck && $(MAKE) servecheck && $(MAKE) determinism
 
 # Repo-specific static analysis: unchecked mpi.Comm/IO errors, float
 # equality, locks copied by value, allocations in //lint:hotpath kernels,

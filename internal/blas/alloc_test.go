@@ -35,12 +35,24 @@ func TestZeroAllocKernels(t *testing.T) {
 		{"packB", func() { packB(bm, NoTrans, 0, 0, kc, nc, bbuf) }},
 		{"packB_trans", func() { packB(a, Trans, 0, 0, kc, mc, bbuf) }},
 		{"macroKernel", func() { macroKernel(abuf, bbuf, c, 0, 0, mc, nc, kc, 1) }},
-		{"microKernel8x4", func() { microKernel8x4(kc, abuf, bbuf, c.Data, c.Stride, 1) }},
-		{"microKernelEdge", func() { microKernelEdge(kc, abuf, bbuf, c.Data, c.Stride, 5, 3, 1) }},
+		{"microKernel", func() { microKernel(kc, abuf, bbuf, c.Data, c.Stride, 1) }},
+		{"microKernelGo", func() { microKernelGo(kc, abuf, bbuf, c.Data, c.Stride, 1) }},
+		{"fringeTile", func() { fringeTile(kc, abuf, bbuf, c.Data, c.Stride, 5, 3, 1) }},
+		{"microKernelFMA", func() { microKernelFMA(kc, abuf, bbuf, c.Data, c.Stride, 1) }},
 	}
-	for _, k := range kernels {
-		if n := testing.AllocsPerRun(20, k.fn); n != 0 {
-			t.Errorf("%s: %.0f allocs per call, want 0", k.name, n)
+	cpuHasFMA := useFMA
+	check := func(suffix string) {
+		for _, k := range kernels {
+			if k.name == "microKernelFMA" && !cpuHasFMA {
+				continue
+			}
+			if n := testing.AllocsPerRun(20, k.fn); n != 0 {
+				t.Errorf("%s%s: %.0f allocs per call, want 0", k.name, suffix, n)
+			}
 		}
 	}
+	check("")
+	// The dispatching entry points again, on the portable kernel.
+	withPortableKernel(t)
+	check(" (portable)")
 }

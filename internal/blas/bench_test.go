@@ -27,12 +27,43 @@ func benchGemm(b *testing.B, impl Impl, threads, m, n, k int) {
 
 func BenchmarkGEMMNaive256(b *testing.B)   { benchGemm(b, Naive, 1, 256, 256, 256) }
 func BenchmarkGEMMBlocked256(b *testing.B) { benchGemm(b, Blocked, 1, 256, 256, 256) }
+
+// BenchmarkGEMMBlockedPortable256 is Blocked256 on the portable Go
+// micro-kernel: the ablation row without the SIMD kernel.
+func BenchmarkGEMMBlockedPortable256(b *testing.B) {
+	withPortableKernel(b)
+	benchGemm(b, Blocked, 1, 256, 256, 256)
+}
+
 func BenchmarkGEMMParallel256(b *testing.B) {
 	for _, th := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("threads=%d", th), func(b *testing.B) {
 			benchGemm(b, Parallel, th, 256, 256, 256)
 		})
 	}
+}
+
+// BenchmarkMicroKernel runs one 8×8 tile update over L1-resident packed
+// panels (kc = 256): the kernel's own rate, the ceiling blocked GEMM
+// approaches.
+func BenchmarkMicroKernel(b *testing.B) {
+	const kc = defaultKC
+	ap := make([]float32, kc*mr)
+	bp := make([]float32, kc*nr)
+	c := make([]float32, mr*nr)
+	run := func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			microKernel(kc, ap, bp, c, nr, 1)
+		}
+		b.ReportMetric(2*mr*nr*kc*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+	}
+	if useFMA {
+		b.Run("fma", run)
+	}
+	b.Run("portable", func(b *testing.B) {
+		withPortableKernel(b)
+		run(b)
+	})
 }
 
 func BenchmarkGEMMBlocked512(b *testing.B)  { benchGemm(b, Blocked, 1, 512, 512, 512) }

@@ -5,14 +5,30 @@
 // The paper telescopes its GEMM across thread, core and node levels:
 // a register-blocked inner kernel, operand packing for stride-one access,
 // cache blocking, and cooperative threads. This package mirrors those
-// levers in portable Go:
+// levers:
 //
 //   - Naive: triple loop, the correctness reference.
 //   - Blocked: Goto-style packed panels (MC×KC blocks of A, KC×NC blocks
-//     of B) with an MR×NR register-tile micro-kernel.
+//     of B) with an 8×8 (MR×NR) register-tile micro-kernel.
 //   - Parallel: the blocked algorithm with the MC loop fanned out across
 //     goroutines sharing one packed B panel, the analogue of the paper's
 //     cores cooperating on a shared operand.
+//
+// The micro-kernel is the paper's SIMD inner kernel. On amd64 CPUs with
+// AVX2 and FMA (and an OS that saves YMM state) it is an assembly kernel
+// that keeps the 8×8 tile in eight YMM row accumulators and updates them
+// with VBROADCASTSS + VFMADD231PS outer products, the counterpart of the
+// 4-wide QPX FMAs on BG/Q. A CPUID/XGETBV probe picks it once at package
+// init; there is no knob. Other CPUs and architectures run the portable
+// Go kernel, which updates the tile as two 8×4 halves of scalar
+// accumulators.
+//
+// Fringe tiles at the right and bottom edges of C go through the same
+// kernel as interior tiles: the existing part of C is copied into a full
+// stack tile, updated, and copied back. Every element of C therefore sees
+// one arithmetic chain wherever its row falls in the batch, so a row of
+// the product is bit-identical across batch sizes — the serving runtime
+// relies on this to answer bit-for-bit what nn.Forward computes.
 //
 // Results are deterministic regardless of thread count: every C element is
 // accumulated by exactly one goroutine in a fixed k-order.

@@ -67,33 +67,39 @@ func checkImpl(t *testing.T, impl Impl, tA, tB Transpose, m, n, k int, alpha, be
 	}
 }
 
+// gemmShapes is the M×N×K grid the correctness tests sweep: degenerate,
+// sub-tile, exact-tile and fringe shapes in every dimension.
+var gemmShapes = [][3]int{
+	{1, 1, 1}, {2, 3, 4}, {8, 4, 16}, {8, 8, 8}, {7, 5, 3}, {9, 13, 17},
+	{16, 16, 16}, {33, 29, 31}, {64, 48, 40}, {1, 64, 64}, {64, 1, 64}, {64, 64, 1},
+}
+
 func TestGemmAllImplsAllTransposes(t *testing.T) {
-	shapes := [][3]int{
-		{1, 1, 1}, {2, 3, 4}, {8, 4, 16}, {7, 5, 3}, {9, 13, 17},
-		{16, 16, 16}, {33, 29, 31}, {64, 48, 40}, {1, 64, 64}, {64, 1, 64}, {64, 64, 1},
-	}
-	impls := []Impl{Naive, Blocked, Parallel}
-	for _, impl := range impls {
-		for _, tA := range []Transpose{NoTrans, Trans} {
-			for _, tB := range []Transpose{NoTrans, Trans} {
-				for _, s := range shapes {
-					checkImpl(t, impl, tA, tB, s[0], s[1], s[2], 1, 0)
+	kernelModes(t, func(t *testing.T) {
+		for _, impl := range []Impl{Naive, Blocked, Parallel} {
+			for _, tA := range []Transpose{NoTrans, Trans} {
+				for _, tB := range []Transpose{NoTrans, Trans} {
+					for _, s := range gemmShapes {
+						checkImpl(t, impl, tA, tB, s[0], s[1], s[2], 1, 0)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 func TestGemmAlphaBeta(t *testing.T) {
 	cases := []struct{ alpha, beta float32 }{
 		{1, 1}, {2, 0}, {0.5, -1}, {0, 1}, {-1, 0.25}, {0, 0},
 	}
-	for _, impl := range []Impl{Naive, Blocked, Parallel} {
-		for _, cse := range cases {
-			checkImpl(t, impl, NoTrans, NoTrans, 19, 23, 29, cse.alpha, cse.beta)
-			checkImpl(t, impl, Trans, Trans, 19, 23, 29, cse.alpha, cse.beta)
+	kernelModes(t, func(t *testing.T) {
+		for _, impl := range []Impl{Naive, Blocked, Parallel} {
+			for _, cse := range cases {
+				checkImpl(t, impl, NoTrans, NoTrans, 19, 23, 29, cse.alpha, cse.beta)
+				checkImpl(t, impl, Trans, Trans, 19, 23, 29, cse.alpha, cse.beta)
+			}
 		}
-	}
+	})
 }
 
 // Property: blocked and parallel results agree exactly with each other

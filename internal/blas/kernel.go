@@ -7,11 +7,11 @@ import (
 )
 
 // Register-tile dimensions of the micro-kernel. The paper's BG/Q inner
-// kernel updates an 8×8 C tile with QPX outer products; in portable Go an
-// 8×4 tile keeps all 32 accumulators in registers on amd64/arm64.
+// kernel updates an 8×8 C tile with QPX outer products; the AVX2 kernel
+// does the same with one 8-lane YMM accumulator per tile row.
 const (
 	mr = 8
-	nr = 4
+	nr = 8
 )
 
 // gemmBlocked runs the packed, cache-blocked algorithm with the given
@@ -42,10 +42,11 @@ func gemmBlocked(cfg Config, tA, tB Transpose, alpha float32, a, b *tensor.Matri
 		// has grown to the largest product it serves.
 		abufs, bbuf = ws.panels(mc, kc, nc, m, k, n)
 	} else {
-		bbuf = make([]float32, kc*roundUp(nc, nr))
+		needA, needB := panelSizes(mc, kc, nc, m, k, n)
+		bbuf = make([]float32, needB)
 		abufs = make([][]float32, nWorkers)
 		for w := range abufs {
-			abufs[w] = make([]float32, roundUp(mc, mr)*kc)
+			abufs[w] = make([]float32, needA)
 		}
 	}
 
@@ -305,21 +306,96 @@ func macroKernel(abuf, bbuf []float32, c *tensor.Matrix, ic, jc, mc, nc, kc int,
 			}
 			apanel := abuf[ao:]
 			if rows == mr && cols == nr {
-				microKernel8x4(kc, apanel, bpanel, c.Data[coff:], c.Stride, alpha)
+				microKernel(kc, apanel, bpanel, c.Data[coff:], c.Stride, alpha)
 			} else {
-				microKernelEdge(kc, apanel, bpanel, c.Data[coff:], c.Stride, rows, cols, alpha)
+				fringeTile(kc, apanel, bpanel, c.Data[coff:], c.Stride, rows, cols, alpha)
 			}
 		}
 	}
 }
 
-// microKernel8x4 is the register-blocked inner kernel: C8×4 += alpha·A8×kc·Bkc×4
-// as a sequence of rank-1 updates over the packed panels, mirroring the
-// paper's outer-product formulation. All 32 accumulators live in locals so
-// the compiler can keep them in registers.
+// microKernel updates one full mr×nr tile of C with the kernel the CPU
+// probe selected: C += alpha·A(mr×kc)·B(kc×nr) over packed panels.
 //
 //lint:hotpath
-func microKernel8x4(kc int, ap, bp []float32, c []float32, ldc int, alpha float32) {
+func microKernel(kc int, ap, bp, c []float32, ldc int, alpha float32) {
+	if useFMA {
+		microKernelFMA(kc, ap, bp, c, ldc, alpha)
+		return
+	}
+	microKernelGo(kc, ap, bp, c, ldc, alpha)
+}
+
+// fringeTile handles a partial tile at the matrix fringe — the "matrices
+// with dimensions that do not lend themselves to full SIMDization" case
+// the paper tunes for. The packed panels are zero-padded, so the rows×cols
+// region of C that exists is copied into a full mr×nr stack tile, updated
+// by the same micro-kernel as an interior tile, and copied back. Every C
+// element therefore goes through one arithmetic chain wherever it falls:
+// a row's result does not depend on its position in the batch, which the
+// serving runtime's bit-identity with nn.Forward relies on.
+//
+//lint:hotpath
+func fringeTile(kc int, ap, bp, c []float32, ldc, rows, cols int, alpha float32) {
+	var tile [mr * nr]float32
+	copyTile(tile[:], nr, c, ldc, rows, cols)
+	microKernel(kc, ap, bp, tile[:], nr, alpha)
+	copyTile(c, ldc, tile[:], nr, rows, cols)
+}
+
+// copyTile copies a rows×cols block between two row-major buffers with
+// leading dimensions ldd (dst) and lds (src), walking both row cursors
+// behind guards so the copies carry no bounds checks.
+//
+//lint:hotpath
+func copyTile(dst []float32, ldd int, src []float32, lds, rows, cols int) {
+	for r := 0; r < rows; r++ {
+		if r > 0 {
+			if uint(ldd) > uint(len(dst)) || uint(lds) > uint(len(src)) {
+				packBounds()
+				return
+			}
+			dst = dst[ldd:]
+			src = src[lds:]
+		}
+		if uint(cols) > uint(len(dst)) || uint(cols) > uint(len(src)) {
+			packBounds()
+			return
+		}
+		copy(dst[:cols], src[:cols])
+	}
+}
+
+// microKernelGo is the portable kernel, used where the CPU probe finds no
+// AVX2/FMA. It updates the mr×nr tile as two mr×nr/2 halves: 32 scalar
+// accumulators per half is already more than amd64's 16 XMM registers
+// hold, and a single 64-accumulator pass would spill twice as much.
+//
+//lint:hotpath
+func microKernelGo(kc int, ap, bp, c []float32, ldc int, alpha float32) {
+	if len(c) < nr/2 {
+		packBounds()
+		return
+	}
+	microKernelHalf(kc, ap, bp, c, ldc, alpha)
+	hi := bp // upper half of each k-slice; microKernelHalf checks its length
+	if len(hi) >= nr/2 {
+		hi = hi[nr/2:]
+	}
+	microKernelHalf(kc, ap, hi, c[nr/2:], ldc, alpha)
+}
+
+// microKernelHalf is the register-blocked scalar kernel:
+// C(mr×4) += alpha·A(mr×kc)·B(kc×4), where the four B columns are the
+// first four of each nr-wide k-slice of bp. It runs a sequence of rank-1
+// updates, mirroring the paper's outer-product formulation; the 32
+// accumulators are locals so the compiler keeps as many as it can in
+// registers. The B cursor advances by nr only while a full k-slice
+// remains: the upper half's cursor starts nr/2 into the panel, so its
+// last slice is short.
+//
+//lint:hotpath
+func microKernelHalf(kc int, ap, bp []float32, c []float32, ldc int, alpha float32) {
 	var (
 		c00, c01, c02, c03 float32
 		c10, c11, c12, c13 float32
@@ -331,16 +407,18 @@ func microKernel8x4(kc int, ap, bp []float32, c []float32, ldc int, alpha float3
 		c70, c71, c72, c73 float32
 	)
 	for p := 0; p < kc; p++ {
-		if len(ap) < mr || len(bp) < nr {
+		if len(ap) < mr || len(bp) < nr/2 {
 			packBounds()
 			return
 		}
-		b := bp[:nr:nr]
+		b := bp[: nr/2 : nr/2]
 		b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
 		a := ap[:mr:mr]
 		a0, a1, a2, a3, a4, a5, a6, a7 := a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7]
 		ap = ap[mr:]
-		bp = bp[nr:]
+		if len(bp) >= nr {
+			bp = bp[nr:]
+		}
 		c00 += a0 * b0
 		c01 += a0 * b1
 		c02 += a0 * b2
@@ -385,18 +463,18 @@ func microKernel8x4(kc int, ap, bp []float32, c []float32, ldc int, alpha float3
 	storeRow4(c, alpha, c70, c71, c72, c73, 0)
 }
 
-// storeRow4 accumulates one nr-wide register row into the head of the C
+// storeRow4 accumulates one 4-wide register row into the head of the C
 // cursor and returns the cursor advanced by ldc to the next row. The
 // single guard justifies both the window and the advance, so the stores
 // carry no bounds checks.
 //
 //lint:hotpath
 func storeRow4(c []float32, alpha, v0, v1, v2, v3 float32, ldc int) []float32 {
-	if len(c) < nr || uint(ldc) > uint(len(c)) {
+	if len(c) < 4 || uint(ldc) > uint(len(c)) {
 		packBounds()
 		return nil
 	}
-	row := c[:nr:nr]
+	row := c[:4:4]
 	row[0] += alpha * v0
 	row[1] += alpha * v1
 	row[2] += alpha * v2
@@ -404,55 +482,11 @@ func storeRow4(c []float32, alpha, v0, v1, v2, v3 float32, ldc int) []float32 {
 	return c[ldc:]
 }
 
-// microKernelEdge handles partial tiles at the matrix fringe. The packed
-// panels are zero-padded, so it computes the full mr×nr product and writes
-// back only the rows×cols region that exists in C. This is the "matrices
-// with dimensions that do not lend themselves to full SIMDization" case
-// the paper tunes for.
-//
-//lint:hotpath
-func microKernelEdge(kc int, ap, bp []float32, c []float32, ldc, rows, cols int, alpha float32) {
-	var acc [mr * nr]float32
-	for p := 0; p < kc; p++ {
-		if len(ap) < mr || len(bp) < nr {
-			packBounds()
-			return
-		}
-		b := bp[:nr:nr]
-		a := ap[:mr:mr]
-		ap = ap[mr:]
-		bp = bp[nr:]
-		for r := 0; r < mr; r++ {
-			ar := a[r]
-			acc[r*nr+0] += ar * b[0]
-			acc[r*nr+1] += ar * b[1]
-			acc[r*nr+2] += ar * b[2]
-			acc[r*nr+3] += ar * b[3]
-		}
-	}
-	// Write back only the rows×cols region that exists in C, walking an
-	// accumulator cursor in lockstep with the C row cursor.
-	av := acc[:]
-	for r := 0; r < rows; r++ {
-		if r > 0 {
-			if uint(ldc) > uint(len(c)) || len(av) < 2*nr {
-				packBounds()
-				return
-			}
-			c = c[ldc:]
-			av = av[nr:]
-		}
-		// Re-establish len(av) >= nr after the merge: prove loses the
-		// loop-carried fact across the phi.
-		if len(av) < nr {
-			packBounds()
-			return
-		}
-		arow := av[:nr:nr]
-		for j := 0; j < cols && j < len(c) && j < nr; j++ {
-			c[j] += alpha * arow[j]
-		}
-	}
+// panelSizes returns the lengths of one packed-A panel and the packed-B
+// panel for an m×n×k product under block limits mc/kc/nc: a block never
+// exceeds the product, so small products get small panels.
+func panelSizes(mc, kc, nc, m, k, n int) (needA, needB int) {
+	return roundUp(min(mc, m), mr) * min(kc, k), min(kc, k) * roundUp(min(nc, n), nr)
 }
 
 func roundUp(x, to int) int { return (x + to - 1) / to * to }

@@ -121,7 +121,9 @@ func modulePath(gomod string) (string, error) {
 func (l *Loader) Warnings() []string { return l.warn }
 
 // LoadModule walks the module tree and loads every buildable package,
-// skipping testdata, vendor and hidden directories.
+// skipping testdata, vendor and hidden directories and, as `go build
+// ./...` does, any nested directory with its own go.mod: that tree is a
+// different module.
 func (l *Loader) LoadModule() ([]*Package, error) {
 	var pkgs []*Package
 	err := filepath.WalkDir(l.root, func(path string, d os.DirEntry, err error) error {
@@ -135,6 +137,11 @@ func (l *Loader) LoadModule() ([]*Package, error) {
 		if path != l.root && (name == "testdata" || name == "vendor" ||
 			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
+		}
+		if path != l.root {
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
 		}
 		rel, err := filepath.Rel(l.root, path)
 		if err != nil {

@@ -59,6 +59,42 @@ func TestLoadModuleSkipsVendoredAndHiddenDirs(t *testing.T) {
 	}
 }
 
+// TestLoadModuleStopsAtNestedModule pins the module boundary: a nested
+// directory with its own go.mod is another module, so neither it nor
+// anything below it is loaded — here it would not even type-check as
+// part of this one.
+func TestLoadModuleStopsAtNestedModule(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"a.go":             "package tmpmod\n\nfunc A() int { return 1 }\n",
+		"pkg/pkg.go":       "package pkg\n\nfunc P() int { return 2 }\n",
+		"bench/go.mod":     "module tmpmod/bench\n\ngo 1.22\n",
+		"bench/main.go":    "package main\n\nfunc main() { var x int = \"s\" }\n",
+		"bench/inner/i.go": "package inner\n\nfunc I() {}\n",
+		"pkg/sub/go.mod":   "module other\n\ngo 1.22\n",
+		"pkg/sub/sub.go":   "package sub\n\nfunc S() {}\n",
+		"pkg/notmod/n.go":  "package notmod\n\nfunc N() {}\n",
+	})
+	l, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := l.LoadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, p := range pkgs {
+		got = append(got, p.ImportPath)
+	}
+	want := []string{"tmpmod", "tmpmod/pkg", "tmpmod/pkg/notmod"}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("LoadModule packages = %v, want %v", got, want)
+	}
+	if w := l.Warnings(); len(w) != 0 {
+		t.Fatalf("unexpected load warnings: %v", w)
+	}
+}
+
 // TestLoadDirBuildTagExcluded pins constraint selection: a file behind
 // an unsatisfied build tag is not parsed, not type-checked, and cannot
 // contribute findings — the tagged twin here would otherwise redeclare
